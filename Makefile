@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 2s
 
-.PHONY: all build test vet test-v1 bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
+.PHONY: all build test vet test-v1 perfbench-test bench-smoke bench-t14 bench-recovery bench-t19 bench-json chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check ci
 
 all: build
 
@@ -19,6 +19,12 @@ vet:
 # crash/torn-tail/recovery tests as the v2 default.
 test-v1:
 	QUERYLEARN_STORE_FORMAT=v1 $(GO) test ./internal/store ./internal/session ./internal/server
+
+# The benchmark's own checks (perfbench/ is a separate module, so `test`
+# does not reach it): determinism of its inputs and the shape of its output,
+# on toy-sized workloads in about 20s.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Quick sanity pass over the tentpole benchmarks (naive vs optimized
 # evaluation core); catches gross perf/correctness regressions in seconds.
@@ -103,4 +109,4 @@ api-check:
 		echo "$$leaks"; exit 1; \
 	fi
 
-ci: build vet test test-v1 bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check
+ci: build vet test test-v1 perfbench-test bench-smoke bench-t14 bench-recovery bench-t19 chaos-smoke fuzz-smoke loadgen-smoke cluster-smoke examples api-check

@@ -1,7 +1,8 @@
 package querylearn_test
 
-// One benchmark per experiment of DESIGN.md's index (T1–T10, F1) measuring
-// the hot path behind each table, plus the ablation benches of DESIGN.md §5.
+// One benchmark per experiment table (T1–T10, F1; README.md, "Benchmarks and
+// experiments") measuring the hot path behind each table, plus ablation
+// benches that pit an optimized algorithm against its simpler alternative.
 // The tables themselves are produced by cmd/benchrunner; these benches give
 // ns/op and allocs for the underlying operations.
 
@@ -313,7 +314,7 @@ func BenchmarkF1ExchangeScenarios(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations: optimized algorithms against their simpler alternatives ---
 
 // DMS containment: structural PTIME algorithm vs the brute-force bag
 // enumerator used as its correctness oracle.

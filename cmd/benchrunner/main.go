@@ -1,6 +1,6 @@
 // Command benchrunner regenerates every experiment table of the
-// reproduction (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
-// the recorded results).
+// reproduction (README.md, "Benchmarks and experiments"; the BENCH_PR*.json
+// files hold recorded runs).
 //
 // Usage:
 //

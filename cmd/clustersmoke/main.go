@@ -130,8 +130,8 @@ func run() error {
 		}
 	}
 	// Do not drive traffic until every node sees every peer alive: an
-	// answer acknowledged before the mesh forms has no follower to
-	// replicate to, so a kill at that instant would lose it by design.
+	// answer sent before the mesh forms waits on the replication barrier
+	// for a follower that may still be booting.
 	if err := waitMesh(procs, deadline); err != nil {
 		var logs strings.Builder
 		for _, p := range procs {

@@ -12,8 +12,7 @@
 // internal/rellearn, internal/graph, internal/graphlearn,
 // internal/interact, internal/crowd, internal/exchange, and the benchmark
 // substrate in internal/xmark and internal/experiments. See README.md for a
-// tour, DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// claim-by-claim reproduction record.
+// tour and the experiment tables, and ROADMAP.md for the open work.
 //
 // The serving stack layers the interactive loop into a durable daemon; each
 // layer only sees the one below it, and both ends of the wire share one

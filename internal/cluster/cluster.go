@@ -15,12 +15,16 @@ import (
 )
 
 // Peer liveness states. The latch only moves forward: unknown → alive →
-// fenced. A fenced peer stays fenced for the life of this process — under a
-// static topology, reintroducing a node that may have diverged is an
-// operator decision (restart the cluster), not an automatic one.
+// fencing → fenced. A fencing peer is already out of the ring and the
+// replication barrier while this node adopts its sessions; it is reported
+// fenced only once that promotion has finished. A fenced peer stays fenced
+// for the life of this process — under a static topology, reintroducing a
+// node that may have diverged is an operator decision (restart the
+// cluster), not an automatic one.
 const (
 	stateUnknown = iota
 	stateAlive
+	stateFencing
 	stateFenced
 )
 
@@ -28,6 +32,8 @@ func stateName(s int) string {
 	switch s {
 	case stateAlive:
 		return "alive"
+	case stateFencing:
+		return "fencing"
 	case stateFenced:
 		return "fenced"
 	}
@@ -58,7 +64,7 @@ type Config struct {
 	// fenced as usual.
 	BootGrace time.Duration
 	// AckTimeout bounds the replication barrier: how long a mutation's 2xx
-	// may wait for every live peer to apply it (default 2s). A timeout
+	// may wait for every unfenced peer to apply it (default 2s). A timeout
 	// releases the response anyway and increments
 	// querylearn_cluster_ack_timeouts_total — availability over strictness,
 	// but counted.
@@ -214,7 +220,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	reg := cfg.Obs
 	c.peerState = reg.GaugeVec("querylearn_cluster_peer_state",
-		"peer liveness: 0 unknown, 1 alive, 2 fenced", "peer")
+		"peer liveness: 0 unknown, 1 alive, 2 fencing, 3 fenced", "peer")
 	c.lagRecords = reg.GaugeVec("querylearn_cluster_replication_lag_records",
 		"journal records this node's follower is behind the peer", "peer")
 	c.lagBytes = reg.GaugeVec("querylearn_cluster_replication_lag_bytes",
@@ -228,7 +234,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.proxied = reg.Counter("querylearn_cluster_proxied_total",
 		"legacy requests reverse-proxied to the owning node")
 	c.ackTimeouts = reg.Counter("querylearn_cluster_ack_timeouts_total",
-		"mutations released before every live peer acknowledged replication")
+		"mutations released before every unfenced peer acknowledged replication")
 	c.promotions = reg.Counter("querylearn_cluster_promotions_total",
 		"peer failovers this node promoted a shipped log for")
 	c.adopted = reg.Counter("querylearn_cluster_adopted_sessions_total",
@@ -284,7 +290,7 @@ func (c *Cluster) routable(id string) bool {
 	}
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
-	return c.state[id] != stateFenced
+	return c.state[id] < stateFencing
 }
 
 // owner maps a session id to the peer that owns it under the current
@@ -318,17 +324,17 @@ func (c *Cluster) MintSessionID() string {
 	return id
 }
 
-// setAlive records a successful probe; reports whether the peer just
-// transitioned out of unknown.
-func (c *Cluster) setAlive(id string) bool {
+// setState moves a peer's latch forward to st and wakes the barrier, whose
+// wait set liveness changes; it reports false, changing nothing, when the
+// peer is already at st or past it.
+func (c *Cluster) setState(id string, st int) bool {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
-	if c.state[id] != stateUnknown {
+	if c.state[id] >= st {
 		return false
 	}
-	c.state[id] = stateAlive
-	c.peerState.With(id).Set(stateAlive)
-	// Liveness changes what the barrier waits on; wake it.
+	c.state[id] = st
+	c.peerState.With(id).Set(int64(st))
 	close(c.curC)
 	c.curC = make(chan struct{})
 	return true
@@ -337,21 +343,17 @@ func (c *Cluster) setAlive(id string) bool {
 // fence latches a peer dead and promotes this node's copy of its journal:
 // under the routing gate, the follower is sealed and the ring-share of the
 // peer's sessions that now maps here is adopted. Every survivor runs this
-// independently and the shares are disjoint by construction.
+// independently and the shares are disjoint by construction. The peer
+// leaves the ring and the barrier at once (fencing) and is published as
+// fenced only after the adoption, so a peer Stats reports fenced has its
+// sessions served here.
 func (c *Cluster) fence(id string) {
-	c.stateMu.Lock()
-	if c.state[id] == stateFenced {
-		c.stateMu.Unlock()
+	if !c.setState(id, stateFencing) {
 		return
 	}
-	c.state[id] = stateFenced
-	c.peerState.With(id).Set(stateFenced)
-	close(c.curC)
-	c.curC = make(chan struct{})
-	c.stateMu.Unlock()
-
 	c.gate.Lock()
 	defer c.gate.Unlock()
+	defer c.setState(id, stateFenced)
 	f := c.followers[id]
 	snaps, cur := f.seal()
 	mine := snaps[:0]
@@ -402,16 +404,18 @@ func (c *Cluster) recordFollowerCursor(peerID string, cur store.Cursor) {
 	c.curC = make(chan struct{})
 }
 
-// awaitReplication blocks until every live peer's follower cursor covers
-// target, the timeout passes (false), or the cluster stops. This is the
-// replication barrier under every locally-served mutation's 2xx.
+// awaitReplication blocks until every unfenced peer's follower cursor
+// covers target, the timeout passes (false), or the cluster stops. This is
+// the replication barrier under every locally-served mutation's 2xx. A peer
+// not yet probed alive counts: it may be the survivor that adopts the
+// session, and its follower polls from the moment it starts.
 func (c *Cluster) awaitReplication(target store.Cursor, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		c.stateMu.Lock()
 		covered := true
 		for id, st := range c.state {
-			if st != stateAlive {
+			if st >= stateFencing {
 				continue
 			}
 			cur, ok := c.followCur[id]
@@ -442,12 +446,12 @@ func (c *Cluster) awaitReplication(target store.Cursor, timeout time.Duration) b
 	}
 }
 
-// hasAlivePeers reports whether the barrier has anyone to wait for.
-func (c *Cluster) hasAlivePeers() bool {
+// hasUnfencedPeers reports whether the barrier has anyone to wait for.
+func (c *Cluster) hasUnfencedPeers() bool {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
 	for _, st := range c.state {
-		if st == stateAlive {
+		if st < stateFencing {
 			return true
 		}
 	}
@@ -458,9 +462,10 @@ func (c *Cluster) hasAlivePeers() bool {
 type PeerStats struct {
 	ID    string `json:"id"`
 	Addr  string `json:"addr"`
-	State string `json:"state"` // "self", "unknown", "alive", or "fenced"
-	// Role is "owner" while the peer serves its own ring arc, "taken-over"
-	// once it is fenced and survivors have adopted its sessions.
+	State string `json:"state"` // "self", "unknown", "alive", "fencing", or "fenced"
+	// Role is "owner" while the peer serves its own ring arc, "taking-over"
+	// while this node adopts its sessions, "taken-over" once it is fenced
+	// and survivors have adopted its sessions.
 	Role string `json:"role"`
 	// Follower-side replication view of this peer's journal (absent for
 	// self): how far behind we are and how much we have applied.
@@ -486,21 +491,17 @@ type Stats struct {
 
 // Stats snapshots the node's cluster view.
 func (c *Cluster) Stats() Stats {
-	s := Stats{
-		NodeID:          c.self.ID,
-		Redirects:       c.redirects.Value(),
-		Proxied:         c.proxied.Value(),
-		AckTimeouts:     c.ackTimeouts.Value(),
-		Promotions:      c.promotions.Value(),
-		AdoptedSessions: c.adopted.Value(),
-	}
+	s := Stats{NodeID: c.self.ID}
 	s.Peers = append(s.Peers, PeerStats{ID: c.self.ID, Addr: c.self.Addr, State: "self", Role: "owner"})
 	for _, p := range c.others {
 		c.stateMu.Lock()
 		st := c.state[p.ID]
 		c.stateMu.Unlock()
 		row := PeerStats{ID: p.ID, Addr: p.Addr, State: stateName(st), Role: "owner"}
-		if st == stateFenced {
+		switch st {
+		case stateFencing:
+			row.Role = "taking-over"
+		case stateFenced:
 			row.Role = "taken-over"
 		}
 		f := c.followers[p.ID]
@@ -509,5 +510,12 @@ func (c *Cluster) Stats() Stats {
 		row.ShippedBytes = c.shippedBytes.With(p.ID).Value()
 		s.Peers = append(s.Peers, row)
 	}
+	// The counters are read after the states, so a peer this snapshot
+	// reports fenced has its adoption counted in it.
+	s.Redirects = c.redirects.Value()
+	s.Proxied = c.proxied.Value()
+	s.AckTimeouts = c.ackTimeouts.Value()
+	s.Promotions = c.promotions.Value()
+	s.AdoptedSessions = c.adopted.Value()
 	return s
 }

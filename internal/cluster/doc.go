@@ -30,7 +30,7 @@
 //     serving "continuity" out of a different file. The from_lsn the
 //     follower presents doubles as its applied-cursor report, which the
 //     owner's replication barrier (serveLocal) uses to hold each mutation's
-//     2xx until every live peer has applied it — that is what makes
+//     2xx until every unfenced peer has applied it — that is what makes
 //     "acknowledged" mean "survives the owner's death". A report only
 //     counts once it is proven against the live epoch and journal extent,
 //     and (when Config.Secret is set) the whole endpoint is gated on a

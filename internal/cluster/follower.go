@@ -81,7 +81,7 @@ func (c *Cluster) followLoop(f *follower) {
 		default:
 		}
 		c.stateMu.Lock()
-		fenced := c.state[f.peer.ID] == stateFenced
+		fenced := c.state[f.peer.ID] >= stateFencing
 		c.stateMu.Unlock()
 		if fenced {
 			return

@@ -25,7 +25,7 @@ func (c *Cluster) probeLoop(p Peer) {
 		case <-t.C:
 		}
 		c.stateMu.Lock()
-		fenced := c.state[p.ID] == stateFenced
+		fenced := c.state[p.ID] >= stateFencing
 		c.stateMu.Unlock()
 		if fenced {
 			return
@@ -33,7 +33,7 @@ func (c *Cluster) probeLoop(p Peer) {
 		if err := c.probe(p); err == nil {
 			fails = 0
 			seen = true
-			if c.setAlive(p.ID) {
+			if c.setState(p.ID, stateAlive) {
 				c.log.Info("peer alive", "peer", p.ID, "addr", p.Addr)
 			}
 			continue

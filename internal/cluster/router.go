@@ -171,12 +171,12 @@ func (p *reverseProxy) serve(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveLocal runs the inner handler, holding successful mutations behind
-// the replication barrier: the 2xx is buffered until every live peer's
+// the replication barrier: the 2xx is buffered until every unfenced peer's
 // follower cursor covers the journal tail the mutation produced. Reads and
 // failures pass straight through.
 func (c *Cluster) serveLocal(inner http.Handler, w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet || r.Method == http.MethodHead ||
-		r.Method == http.MethodOptions || !c.hasAlivePeers() {
+		r.Method == http.MethodOptions || !c.hasUnfencedPeers() {
 		inner.ServeHTTP(w, r)
 		return
 	}

@@ -34,11 +34,12 @@ type schemaLearner struct {
 	corpus   []*xmltree.Node
 	hyp      *schema.Schema
 	rejected map[string]bool // canonical XML of negatively labeled docs
-	// frontier caches the open-question mutants between Records; cloning
-	// and validating every mutant is the expensive step, and Next,
-	// Hypothesis, and the Manager's post-answer Remaining probe all want
-	// it within one request.
-	frontier      []*xmltree.Node
+	// frontier caches the open-question mutants, as canonical XML, between
+	// Records; cloning and validating every mutant is the expensive step,
+	// and Next, Hypothesis, and the Manager's post-answer Remaining probe
+	// all want it within one request. The string is what Propose sends and
+	// what a rejection is matched against, so no mutant tree is kept.
+	frontier      []string
 	frontierValid bool
 }
 
@@ -56,7 +57,7 @@ func newSchemaLearner(src string) (*schemaLearner, error) {
 
 // candidates returns the open-question frontier, recomputing it only when a
 // Record invalidated the cache.
-func (l *schemaLearner) candidates() []*xmltree.Node {
+func (l *schemaLearner) candidates() []string {
 	if !l.frontierValid {
 		l.frontier = l.computeFrontier()
 		l.frontierValid = true
@@ -68,8 +69,8 @@ func (l *schemaLearner) candidates() []*xmltree.Node {
 // each corpus document, each node in document order, each distinct child
 // label in first-occurrence order, the duplicate- and drop-one-child mutants
 // that the current hypothesis rejects and the user has not rejected either.
-func (l *schemaLearner) computeFrontier() []*xmltree.Node {
-	var out []*xmltree.Node
+func (l *schemaLearner) computeFrontier() []string {
+	var out []string
 	seen := map[string]bool{}
 	for _, doc := range l.corpus {
 		for _, n := range doc.Nodes() {
@@ -89,7 +90,7 @@ func (l *schemaLearner) computeFrontier() []*xmltree.Node {
 						continue
 					}
 					seen[key] = true
-					out = append(out, mut)
+					out = append(out, key)
 				}
 			}
 		}
@@ -127,14 +128,14 @@ func (l *schemaLearner) Propose(k int) ([]Question, error) {
 	}
 	qs := make([]Question, 0, clampBatch(k, len(cands)))
 	for _, doc := range cands[:clampBatch(k, len(cands))] {
-		item, err := json.Marshal(schemaItem{Doc: doc.String()})
+		item, err := json.Marshal(schemaItem{Doc: doc})
 		if err != nil {
 			return nil, err
 		}
 		qs = append(qs, Question{
 			Model:     "schema",
 			Item:      item,
-			Prompt:    fmt.Sprintf("should the schema accept this document? %s", doc.String()),
+			Prompt:    "should the schema accept this document? " + doc,
 			Remaining: len(cands),
 		})
 	}
@@ -178,7 +179,7 @@ func (l *schemaLearner) Record(raw json.RawMessage, positive bool) error {
 			// instead of recomputing the whole frontier.
 			kept := l.frontier[:0]
 			for _, c := range l.frontier {
-				if c.String() != key {
+				if c != key {
 					kept = append(kept, c)
 				}
 			}

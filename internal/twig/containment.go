@@ -8,7 +8,7 @@ package twig
 // fragment XP{/,//,[]} (no wildcards) — the classical Miklau–Suciu result.
 // With wildcards the general problem is coNP-complete; the learner only ever
 // compares queries produced by generalization, for which the homomorphism
-// test is exact in practice. This trade-off is recorded in DESIGN.md.
+// test is exact in practice.
 
 // Contained reports whether p ⊆ q, using the homomorphism characterization.
 func Contained(p, q Query) bool {

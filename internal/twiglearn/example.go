@@ -62,12 +62,44 @@ func Split(examples []Example) (pos, neg []Example) {
 }
 
 // Consistent reports whether q selects the node of every positive example
-// and of no negative example.
+// and of no negative example. The query is evaluated once per distinct
+// document, not once per example.
 func Consistent(q twig.Query, examples []Example) bool {
+	return consistentWith(&selection{eval: q.Eval}, examples)
+}
+
+// consistentWith reports whether sel labels every example correctly.
+func consistentWith(sel *selection, examples []Example) bool {
 	for _, e := range examples {
-		if q.Selects(e.Doc, e.Node) != e.Positive {
+		if sel.selects(e) != e.Positive {
 			return false
 		}
 	}
 	return true
+}
+
+// selection memoizes the nodes a query selects, one set per document keyed
+// on the document pointer: the examples of a session share one corpus
+// document, and a full evaluation per example would rebuild the
+// evaluator's tables over that document once per label.
+type selection struct {
+	eval func(doc *xmltree.Node) []*xmltree.Node
+	docs map[*xmltree.Node]map[*xmltree.Node]bool
+}
+
+// selects reports whether the query selects the example's node, evaluating
+// it over the example's document on first use.
+func (s *selection) selects(e Example) bool {
+	set, ok := s.docs[e.Doc]
+	if !ok {
+		set = map[*xmltree.Node]bool{}
+		for _, n := range s.eval(e.Doc) {
+			set[n] = true
+		}
+		if s.docs == nil {
+			s.docs = map[*xmltree.Node]map[*xmltree.Node]bool{}
+		}
+		s.docs[e.Doc] = set
+	}
+	return set[e.Node]
 }

@@ -97,9 +97,10 @@ func errorOn(q twig.Query, examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
+	sel := &selection{eval: q.Eval}
 	wrong := 0
 	for _, e := range examples {
-		if q.Selects(e.Doc, e.Node) != e.Positive {
+		if sel.selects(e) != e.Positive {
 			wrong++
 		}
 	}

@@ -74,14 +74,10 @@ func (u UnionQuery) String() string {
 	return strings.Join(parts, " | ")
 }
 
-// ConsistentUnion reports whether the union labels every example correctly.
+// ConsistentUnion reports whether the union labels every example correctly,
+// evaluating it once per distinct document.
 func ConsistentUnion(u UnionQuery, examples []Example) bool {
-	for _, e := range examples {
-		if u.Selects(e.Doc, e.Node) != e.Positive {
-			return false
-		}
-	}
-	return true
+	return consistentWith(&selection{eval: u.Eval}, examples)
 }
 
 // LearnUnion learns a union of twig queries consistent with the examples.
@@ -161,13 +157,14 @@ func LearnUnion(examples []Example, opts Options) (UnionQuery, error) {
 // consistentMember reports whether q selects all of its own positives and
 // none of the global negatives.
 func consistentMember(q twig.Query, own []Example, all []Example) bool {
+	sel := &selection{eval: q.Eval}
 	for _, e := range own {
-		if !q.Selects(e.Doc, e.Node) {
+		if !sel.selects(e) {
 			return false
 		}
 	}
 	for _, e := range all {
-		if !e.Positive && q.Selects(e.Doc, e.Node) {
+		if !e.Positive && sel.selects(e) {
 			return false
 		}
 	}
